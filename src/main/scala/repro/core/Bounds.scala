@@ -15,11 +15,40 @@ sealed trait BiasBound {
   /** Is a pattern with the given counts biased at position `k`? */
   final def biased(cnt: Long, sD: Long, k: Int): Boolean =
     cnt.toDouble < threshold(sD, k)
+
+  /** Does the threshold never decrease as k grows through `[kMin, kMax]`?
+    * The incremental engine ([[PropBounds.incremental]]) needs this: a
+    * pattern's top-k count never falls, so a biased pattern can then
+    * recover only by gaining a tuple.
+    */
+  def nondecreasing(kMin: Int, kMax: Int): Boolean
+
+  /** The first k in `[from, until]` at which a pattern with a fixed top-k
+    * count `cnt` and dataset size `sD` is biased, or `Int.MaxValue` if
+    * there is none. This is `k̃` of Section IV-C for the proportional
+    * bound, and the next step of `L_k` above `cnt` for global bounds.
+    * A binary search on [[biased]] itself, so it agrees with the predicate
+    * exactly; valid only where the threshold does not decrease in k.
+    */
+  final def nextBiasedK(cnt: Long, sD: Long, from: Int, until: Int): Int =
+    if (from > until || !biased(cnt, sD, until)) Int.MaxValue
+    else {
+      var lo = from
+      var hi = until
+      while (lo < hi) {
+        val mid = lo + (hi - lo) / 2
+        if (biased(cnt, sD, mid)) hi = mid else lo = mid + 1
+      }
+      lo
+    }
 }
 
 /** Problem 3.1: user-given bounds `L_k`, independent of the group size. */
 final case class GlobalLowerBound(lk: Int => Double) extends BiasBound {
   override def threshold(sD: Long, k: Int): Double = lk(k)
+
+  override def nondecreasing(kMin: Int, kMax: Int): Boolean =
+    (kMin until kMax).forall(k => lk(k + 1) >= lk(k))
 }
 
 object GlobalLowerBound {
@@ -38,21 +67,7 @@ final case class ProportionalLowerBound(alpha: Double, dSize: Long) extends Bias
   override def threshold(sD: Long, k: Int): Double =
     alpha * sD * k / dSize
 
-  /** `k̃` (Section IV-C): the minimal k at which a pattern with a fixed
-    * top-k count `cnt` becomes biased. Computed from the closed form and
-    * then adjusted so it is exactly consistent with [[biased]] under
-    * floating-point rounding. Returns `Int.MaxValue` when no such k fits
-    * in an Int (e.g. `cnt` large enough relative to `sD`).
-    */
-  def kTilde(cnt: Long, sD: Long): Int = {
-    val base = cnt * dSize / (alpha * sD)
-    if (base >= Int.MaxValue - 2) return Int.MaxValue
-    var k = math.max(1, math.floor(base).toInt)
-    // walk to the exact boundary of the predicate
-    while (!biased(cnt, sD, k) && k < Int.MaxValue - 1) k += 1
-    while (k > 1 && biased(cnt, sD, k - 1)) k -= 1
-    k
-  }
+  override def nondecreasing(kMin: Int, kMax: Int): Boolean = alpha >= 0
 }
 
 /** Cooperative wall-clock budget for the searches; checked once per BFS

@@ -65,12 +65,6 @@ final class DatasetIndex(
     (bits.cardinality(), bits.get(0, k).cardinality())
   }
 
-  /** Does the tuple ranked `rank` (1-based) satisfy `p`? */
-  def tupleSatisfies(rank: Int, p: Pattern): Boolean = {
-    val r = rows(rank - 1)
-    p.attrs.forall(a => r(a) == p.vals(a))
-  }
-
   /** Render a pattern against this schema. */
   def render(p: Pattern): String = p.render(attrNames, domains)
 }

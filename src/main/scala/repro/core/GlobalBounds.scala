@@ -1,32 +1,15 @@
 package repro.core
 
-import scala.collection.immutable.SortedMap
-import scala.collection.mutable
-
 /** GLOBALBOUNDS (Algorithm 2) — incremental detection for Problem 3.1.
   *
-  * Key facts exploited (Section IV-B): when `L_k` is unchanged from the
-  * previous position, a pattern's top-k count can only change if the
-  * newly admitted tuple `R(D)[k]` satisfies it (and then only by +1), and
-  * a pattern that was adequately represented can never become biased
-  * again. So:
-  *
-  *  - the algorithm keeps the set `B` of all *visited* biased patterns
-  *    (the union of the paper's `Res` and `DRes`);
-  *  - per k it re-counts only the members of `B` satisfied by the new
-  *    tuple; members that cross the bound leave `B` and the search
-  *    resumes from their search-tree children (the subtree was cut when
-  *    they became biased — this is `searchFromNode`);
-  *  - `Res[k]` is the set of most general members of `B`, recomputed only
-  *    when `B` changed;
-  *  - when `L_k` increases, a fresh top-down search replaces `B`
-  *    (Algorithm 2, line 4).
-  *
-  * Correctness (Proposition 4.5) is enforced in tests by equivalence
-  * with ITERTD on randomized inputs: every visited node that is
-  * currently unbiased has been expanded, hence every most general biased
-  * pattern is visited and tracked in `B`, and the minimal elements of
-  * `B` are exactly the minimal elements of the full biased region.
+  * When `L_k` does not decrease over the range, this is the incremental
+  * engine shared with PROPBOUNDS ([[PropBounds.incremental]]): only
+  * patterns the new tuple `R(D)[k]` satisfies change count (Prop. 4.3),
+  * and a tracked pattern that keeps its count turns biased at the next
+  * step of `L_k` above that count, where its bucket is reached. Unlike
+  * Algorithm 2, line 4, a step of `L_k` does not trigger a fresh search.
+  * A decreasing `L_k` would let biased patterns recover without gaining a
+  * tuple, so such bounds run the ITERTD baseline.
   */
 object GlobalBounds {
 
@@ -37,74 +20,7 @@ object GlobalBounds {
       kMin: Int,
       kMax: Int,
       budget: Budget = Budget.unlimited,
-  ): DetectionResult = {
-    require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
-
-    var res = SortedMap.empty[Int, Set[Pattern]]
-    var examined = 0L
-    var timedOut = false
-
-    // All visited biased patterns (paper's Res ∪ DRes), insertion-ordered.
-    val biased = mutable.LinkedHashSet.empty[Pattern]
-    var currentRes: Set[Pattern] = Set.empty
-
-    /** Full Algorithm-1 search; resets `B`. */
-    def freshSearch(k: Int): Unit = {
-      biased.clear()
-      val frontier0 = Pattern.root(counter.width).searchTreeChildren(counter.domainSizes)
-      val (ex, to) = TopDownSearch.bfs(counter, bound, tauS, k, frontier0, budget) {
-        case TopDownSearch.Biased(p, _, _) => biased += p
-        case _                             => ()
-      }
-      examined += ex
-      timedOut ||= to
-    }
-
-    /** Resume the cut subtrees below patterns that just crossed the bound. */
-    def resumeFrom(roots: Seq[Pattern], k: Int): Unit = {
-      val frontier0 = roots.flatMap(_.searchTreeChildren(counter.domainSizes))
-      if (frontier0.nonEmpty) {
-        val (ex, to) = TopDownSearch.bfs(counter, bound, tauS, k, frontier0, budget) {
-          case TopDownSearch.Biased(p, _, _) => biased += p
-          case _                             => ()
-        }
-        examined += ex
-        timedOut ||= to
-      }
-    }
-
-    freshSearch(kMin)
-    if (!timedOut) {
-      currentRes = Pattern.splitMostGeneral(biased)._1
-      res += kMin -> currentRes
-    }
-
-    var k = kMin + 1
-    while (k <= kMax && !timedOut) {
-      if (bound.lk(k) != bound.lk(k - 1)) {
-        // Bound changed: incremental reasoning does not apply; re-search.
-        freshSearch(k)
-        if (!timedOut) currentRes = Pattern.splitMostGeneral(biased)._1
-      } else {
-        // Only patterns satisfied by the new tuple R(D)[k] can change.
-        val affected = biased.toSeq.filter(counter.tupleSatisfies(k, _))
-        if (affected.nonEmpty) {
-          val counts = counter.countBatch(affected, k)
-          examined += affected.size
-          val flipped = affected.filter { p =>
-            val (sD, cnt) = counts(p)
-            !bound.biased(cnt, sD, k)
-          }
-          if (flipped.nonEmpty) {
-            flipped.foreach(biased -= _)
-            resumeFrom(flipped, k)
-            if (!timedOut) currentRes = Pattern.splitMostGeneral(biased)._1
-          }
-        }
-      }
-      if (!timedOut) res += k -> currentRes
-      k += 1
-    }
-    DetectionResult(res, examined, timedOut)
-  }
+  ): DetectionResult =
+    if (bound.nondecreasing(kMin, kMax)) PropBounds.incremental(counter, bound, tauS, kMin, kMax, budget)
+    else IterTD.run(counter, bound, tauS, kMin, kMax, budget)
 }

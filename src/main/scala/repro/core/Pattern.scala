@@ -44,6 +44,20 @@ final case class Pattern(vals: Vector[Int]) {
     true
   }
 
+  /** True iff the encoded tuple `row` (one value index per attribute)
+    * satisfies this pattern. Allocation-free: the incremental engine
+    * calls it for every tracked pattern at every k.
+    */
+  def matches(row: Array[Int]): Boolean = {
+    var i = 0
+    while (i < vals.length) {
+      val v = vals(i)
+      if (v != Pattern.Wildcard && row(i) != v) return false
+      i += 1
+    }
+    true
+  }
+
   /** True iff `this` is strictly more general than `other` (proper subset). */
   def strictlySubsumes(other: Pattern): Boolean =
     this != other && subsumes(other)

@@ -35,12 +35,6 @@ trait PatternCounter {
     * decide which tracked patterns the newly admitted tuple satisfies.
     */
   def rankedRow(rank: Int): Array[Int]
-
-  /** Does the tuple ranked `rank` satisfy `p`? */
-  final def tupleSatisfies(rank: Int, p: Pattern): Boolean = {
-    val r = rankedRow(rank)
-    p.attrs.forall(a => r(a) == p.vals(a))
-  }
 }
 
 /** Bitset-backed counter over a [[DatasetIndex]]. */

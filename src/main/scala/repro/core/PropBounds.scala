@@ -3,29 +3,33 @@ package repro.core
 import scala.collection.immutable.SortedMap
 import scala.collection.mutable
 
-/** PROPBOUNDS (Algorithm 3) — incremental detection for Problem 3.2.
+/** PROPBOUNDS (Algorithm 3) — incremental detection for Problem 3.2 — and
+  * the incremental engine it shares with GLOBALBOUNDS (Algorithm 2).
   *
-  * Under the proportional bound `α · s_D(p) · k / |D|` a pattern's status
-  * can change in both directions as k grows: patterns satisfied by the
-  * newly admitted tuple gain count (+1, which always outpaces the bound's
-  * growth `α·s_D/|D| < 1`, so a biased pattern may recover but an
-  * adequately represented one never slips on the tuple it gains), while
-  * a pattern the tuple does not satisfy keeps its count and becomes
-  * biased exactly when k reaches its `k̃` value (Section IV-C).
+  * The engine runs for any [[BiasBound]] whose threshold does not decrease
+  * in k (Props. 4.3, 4.5 and 4.8). A pattern's top-k count changes only
+  * when the newly admitted tuple `R(D)[k]` satisfies it, and then by +1;
+  * such a pattern, if biased, may recover. A pattern the tuple does not
+  * satisfy keeps its count and becomes biased exactly at the first k
+  * where the threshold passes that count: `k̃` for the proportional
+  * bound (Section IV-C), the next step of `L_k` for global bounds. Both
+  * are [[BiasBound.nextBiasedK]].
   *
-  * The algorithm therefore tracks every visited node with its dataset
-  * size and running top-k count, keeps the paper's `K` structure as
-  * buckets `k̃ → patterns` (entries are verified lazily when their bucket
-  * is reached), and resumes the top-down search below any node that flips
+  * The engine therefore tracks every visited node with its dataset size
+  * and running top-k count, keeps the paper's `K` structure as buckets
+  * `k̃ → patterns` (entries are verified lazily when their bucket is
+  * reached), and resumes the top-down search below any node that flips
   * from biased to adequately represented and whose subtree had never been
-  * expanded. `Res[k]` is the set of most general currently-biased visited
-  * nodes; correctness (Proposition 4.8) is enforced by tests against
-  * ITERTD on randomized inputs.
+  * expanded. Every visited unbiased node has been expanded, so every most
+  * general biased pattern is visited, and `Res[k]` is the set of most
+  * general currently-biased visited nodes. Correctness is enforced by
+  * tests against ITERTD on randomized inputs.
   */
 object PropBounds {
 
   private final class NodeState(val sD: Long, var cnt: Long)
 
+  /** PROPBOUNDS for the bound `α · s_D(p) · k / |D|`. */
   def run(
       counter: PatternCounter,
       alpha: Double,
@@ -34,8 +38,24 @@ object PropBounds {
       kMax: Int,
       budget: Budget = Budget.unlimited,
   ): DetectionResult = {
+    require(alpha > 0 && alpha < Double.PositiveInfinity, s"alpha must be finite and > 0, got $alpha")
+    incremental(counter, ProportionalLowerBound(alpha, counter.datasetSize), tauS, kMin, kMax, budget)
+  }
+
+  /** The incremental engine over `[kMin, kMax]` for a `bound` whose
+    * threshold does not decrease in k over that range.
+    */
+  def incremental(
+      counter: PatternCounter,
+      bound: BiasBound,
+      tauS: Long,
+      kMin: Int,
+      kMax: Int,
+      budget: Budget = Budget.unlimited,
+  ): DetectionResult = {
     require(kMin >= 1 && kMax >= kMin && kMax <= counter.datasetSize, s"bad range [$kMin,$kMax]")
-    val bound = ProportionalLowerBound(alpha, counter.datasetSize)
+    require(tauS >= 1, s"tauS must be >= 1, got $tauS")
+    require(bound.nondecreasing(kMin, kMax), s"bound threshold decreases within [$kMin,$kMax]")
 
     var res = SortedMap.empty[Int, Set[Pattern]]
     var examined = 0L
@@ -50,9 +70,10 @@ object PropBounds {
     // The paper's K: k̃ → candidate patterns (lazily verified on arrival).
     val kBuckets = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pattern]]
 
-    def scheduleKTilde(p: Pattern, st: NodeState): Unit = {
-      val kt = bound.kTilde(st.cnt, st.sD)
-      if (kt <= kMax) kBuckets.getOrElseUpdate(kt, mutable.ArrayBuffer.empty) += p
+    /** Queue `p`, adequately represented at `k`, for the k where it turns biased. */
+    def schedule(p: Pattern, st: NodeState, k: Int): Unit = {
+      val next = bound.nextBiasedK(st.cnt, st.sD, k + 1, kMax)
+      if (next <= kMax) kBuckets.getOrElseUpdate(next, mutable.ArrayBuffer.empty) += p
     }
 
     /** BFS below `frontier0` at position k, recording node states. */
@@ -66,57 +87,36 @@ object PropBounds {
           val st = new NodeState(sD, cnt)
           visited(p) = st
           expanded += p
-          scheduleKTilde(p, st)
+          schedule(p, st, k)
         case _ => ()
       }
       examined += ex
       timedOut ||= to
     }
 
-    explore(Pattern.root(counter.width).searchTreeChildren(counter.domainSizes), kMin)
-    var currentRes: Set[Pattern] = Set.empty
-    if (!timedOut) {
-      currentRes = Pattern.splitMostGeneral(biasedSet)._1
-      res += kMin -> currentRes
-    }
-
-    var k = kMin + 1
-    while (k <= kMax && !timedOut) {
+    /** Admit the tuple `R(D)[k]`; returns whether the biased set changed. */
+    def advance(k: Int): Boolean = {
       var changed = false
       val newRow = counter.rankedRow(k)
 
       // 1. Patterns the new tuple satisfies: bump counts; biased ones may
       //    recover (and then their cut subtree must be explored).
       val recovered = mutable.ArrayBuffer.empty[Pattern]
-      for ((p, st) <- visited) {
-        var sat = true
-        val attrs = p.attrs
-        var i = 0
-        while (sat && i < attrs.length) {
-          val a = attrs(i)
-          if (newRow(a) != p.vals(a)) sat = false
-          i += 1
-        }
-        if (sat) {
-          st.cnt += 1
-          if (biasedSet.contains(p) && !bound.biased(st.cnt, st.sD, k)) {
-            biasedSet -= p
-            changed = true
-            scheduleKTilde(p, st)
-            if (!expanded.contains(p)) {
-              expanded += p
-              recovered += p
-            }
-          }
+      for ((p, st) <- visited if p.matches(newRow)) {
+        st.cnt += 1
+        if (biasedSet.contains(p) && !bound.biased(st.cnt, st.sD, k)) {
+          biasedSet -= p
+          changed = true
+          schedule(p, st, k)
+          if (expanded.add(p)) recovered += p
         }
       }
       explore(recovered.toSeq.flatMap(_.searchTreeChildren(counter.domainSizes)), k)
-      if (recovered.nonEmpty) changed = true
 
       // 2. Patterns reaching their k̃ this round become biased without any
       //    count change. Entries are stale-tolerant: verify with the live
       //    count; if not biased yet (count grew since scheduling),
-      //    reschedule at the recomputed k̃.
+      //    reschedule.
       kBuckets.remove(k).foreach { bucket =>
         for (p <- bucket) {
           val st = visited(p)
@@ -124,11 +124,21 @@ object PropBounds {
             if (bound.biased(st.cnt, st.sD, k)) {
               biasedSet += p
               changed = true
-            } else scheduleKTilde(p, st)
+            } else schedule(p, st, k)
           }
         }
       }
+      changed
+    }
 
+    var currentRes: Set[Pattern] = Set.empty
+    var k = kMin
+    while (k <= kMax && !timedOut) {
+      val changed =
+        if (k == kMin) {
+          explore(Pattern.root(counter.width).searchTreeChildren(counter.domainSizes), k)
+          true
+        } else advance(k)
       if (!timedOut) {
         if (changed) currentRes = Pattern.splitMostGeneral(biasedSet)._1
         res += k -> currentRes

@@ -47,26 +47,35 @@ object Experiments {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
+  /** A problem definition at the paper defaults: its table value, the
+    * table value of its incremental algorithm, and its bound for |D|.
+    */
+  final case class Problem(name: String, incrementalAlgo: String, bound: Long => BiasBound)
+
+  val Problems: Seq[Problem] = Seq(
+    Problem("global", "GlobalBounds", _ => GlobalLowerBound.paperDefault),
+    Problem("prop", "PropBounds", ProportionalLowerBound(DefaultAlpha, _)),
+  )
+
+  /** How a problem is solved: the ITERTD baseline or the incremental engine. */
+  sealed abstract class Solver(val algo: Problem => String)
+  case object Baseline extends Solver(_ => "IterTD")
+  case object Incremental extends Solver(_.incrementalAlgo)
+
   private def runAlgo(
-      algo: String,
+      solver: Solver,
+      problem: Problem,
       counter: PatternCounter,
-      problem: String,
       tauS: Long,
       kMin: Int,
       kMax: Int,
       timeoutMs: Long,
   ): DetectionResult = {
+    val bound = problem.bound(counter.datasetSize)
     val budget = Budget.ofMillis(timeoutMs)
-    (algo, problem) match {
-      case ("IterTD", "global") =>
-        IterTD.run(counter, GlobalLowerBound.paperDefault, tauS, kMin, kMax, budget)
-      case ("IterTD", "prop") =>
-        IterTD.run(counter, ProportionalLowerBound(DefaultAlpha, counter.datasetSize), tauS, kMin, kMax, budget)
-      case ("GlobalBounds", "global") =>
-        GlobalBounds.run(counter, GlobalLowerBound.paperDefault, tauS, kMin, kMax, budget)
-      case ("PropBounds", "prop") =>
-        PropBounds.run(counter, DefaultAlpha, tauS, kMin, kMax, budget)
-      case other => throw new IllegalArgumentException(s"bad combination $other")
+    solver match {
+      case Baseline    => IterTD.run(counter, bound, tauS, kMin, kMax, budget)
+      case Incremental => PropBounds.incremental(counter, bound, tauS, kMin, kMax, budget)
     }
   }
 
@@ -79,20 +88,19 @@ object Experiments {
   ): Seq[TimingRow] = {
     val rows = Seq.newBuilder[TimingRow]
     for (ds <- datasets(spark)) {
-      for ((problem, algos) <- Seq("global" -> Seq("IterTD", "GlobalBounds"),
-                                   "prop"   -> Seq("IterTD", "PropBounds"));
-           algo <- algos) {
+      for (problem <- Problems; solver <- Seq(Baseline, Incremental)) {
+        val algo = solver.algo(problem)
         var skip = false // once an algo times out, larger points only get slower
         for (pt <- points(ds)) {
           if (!skip) {
             val (ix, tauS, kMin, kMax) = config(ds, pt)
             val counter = new LocalPatternCounter(ix)
-            val (res, ms) = time(runAlgo(algo, counter, problem, tauS, kMin, kMax, timeoutMs))
-            rows += TimingRow(ds.name, problem, algo, paramName, pt, ms, res.timedOut,
+            val (res, ms) = time(runAlgo(solver, problem, counter, tauS, kMin, kMax, timeoutMs))
+            rows += TimingRow(ds.name, problem.name, algo, paramName, pt, ms, res.timedOut,
               res.examined, res.resByK.values.map(_.size).toSeq)
             skip = res.timedOut
           } else {
-            rows += TimingRow(ds.name, problem, algo, paramName, pt, timeoutMs, timedOut = true, 0L, Seq.empty)
+            rows += TimingRow(ds.name, problem.name, algo, paramName, pt, timeoutMs, timedOut = true, 0L, Seq.empty)
           }
         }
       }

@@ -61,14 +61,14 @@ class DatasetIndexSpec extends AnyFunSuite {
     assert(counts.last == ix.sizeD(pat))
   }
 
-  test("tupleSatisfies agrees with the raw Figure 1 rows") {
+  test("Pattern.matches agrees with the raw Figure 1 rows") {
     // rank 1 is student 12: (F, GP, U, 0)
-    assert(ix.tupleSatisfies(1, p(0 -> 0)))
-    assert(ix.tupleSatisfies(1, p(1 -> 0, 2 -> 1)))
-    assert(!ix.tupleSatisfies(1, p(3 -> 1)))
+    assert(p(0 -> 0).matches(ix.rows(0)))
+    assert(p(1 -> 0, 2 -> 1).matches(ix.rows(0)))
+    assert(!p(3 -> 1).matches(ix.rows(0)))
     // rank 5 is student 14: (M, MS, U, 1)
-    assert(ix.tupleSatisfies(5, p(0 -> 1, 1 -> 1, 2 -> 1, 3 -> 1)))
-    assert(!ix.tupleSatisfies(5, p(2 -> 0)))
+    assert(p(0 -> 1, 1 -> 1, 2 -> 1, 3 -> 1).matches(ix.rows(4)))
+    assert(!p(2 -> 0).matches(ix.rows(4)))
   }
 
   test("random data: bitset counts equal naive scans") {

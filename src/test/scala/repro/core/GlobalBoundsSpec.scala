@@ -20,11 +20,19 @@ class GlobalBoundsSpec extends AnyFunSuite {
       p(2 -> 1, 3 -> 1)))
   }
 
-  test("bound increase triggers a fresh search and stays correct") {
+  test("bound increase stays correct") {
     val lk: Int => Double = k => if (k < 6) 1.0 else 2.0
     val got = GlobalBounds.run(counter, GlobalLowerBound(lk), tauS = 4, kMin = 4, kMax = 8)
     val expect = BruteForce.run(ix, GlobalLowerBound(lk), 4, 4, 8)
     assert(got.resByK == expect)
+  }
+
+  test("decreasing L_k runs the ITERTD baseline and stays correct") {
+    val lk: Int => Double = k => if (k < 8) 3.0 else 2.0
+    val got = GlobalBounds.run(counter, GlobalLowerBound(lk), tauS = 4, kMin = 4, kMax = 12)
+    val base = IterTD.run(counter, GlobalLowerBound(lk), tauS = 4, kMin = 4, kMax = 12)
+    assert(got == base)
+    assert(got.resByK == BruteForce.run(ix, GlobalLowerBound(lk), 4, 4, 12))
   }
 
   test("examined is below ITERTD's on the paper's default configuration shape") {
@@ -77,7 +85,7 @@ class GlobalBoundsSpec extends AnyFunSuite {
     for (k <- 5 to 16) {
       val snap = TopDownSearch.singleK(counter, bound, 4, k - 1)
       val tracked = snap.res ++ snap.dres
-      val affected = tracked.count(counter.tupleSatisfies(k, _))
+      val affected = tracked.count(_.matches(counter.rankedRow(k)))
       assert(affected <= tracked.size)
     }
   }

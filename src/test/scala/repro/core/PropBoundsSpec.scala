@@ -24,11 +24,22 @@ class PropBoundsSpec extends AnyFunSuite {
   }
 
   test("full range on the running example matches brute force") {
-    for (alpha <- Seq(0.5, 0.8, 0.9, 1.0)) {
+    for (alpha <- Seq(0.5, 0.8, 0.9, 1.0, 1.5, 3.0)) {
       val got = PropBounds.run(counter, alpha, tauS = 4, kMin = 2, kMax = 16)
       val expect = BruteForce.run(ix, ProportionalLowerBound(alpha, 16), 4, 2, 16)
       assert(got.resByK == expect, s"alpha=$alpha")
     }
+  }
+
+  test("alpha = 0 and tauS = 0 are rejected") {
+    intercept[IllegalArgumentException](PropBounds.run(counter, 0.0, 4, 4, 10))
+    intercept[IllegalArgumentException](PropBounds.run(counter, Double.NaN, 4, 4, 10))
+    intercept[IllegalArgumentException](PropBounds.run(counter, 0.9, 0, 4, 10))
+  }
+
+  test("the engine rejects a bound that decreases in k") {
+    val bound = GlobalLowerBound(k => if (k < 8) 3.0 else 2.0)
+    intercept[IllegalArgumentException](PropBounds.incremental(counter, bound, 4, 4, 12))
   }
 
   test("timed-out run flags timedOut") {

@@ -68,24 +68,35 @@ class TopDownSearchSpec extends AnyFunSuite {
   }
 
   test("Example 4.7: k̃ of {Gender=F} with count 2 is 5") {
-    assert(prop09.kTilde(cnt = 2, sD = 8) == 5)
+    assert(prop09.nextBiasedK(cnt = 2, sD = 8, from = 1, until = 16) == 5)
   }
 
   test("Example 4.9: k̃ values named in the paper") {
-    assert(prop09.kTilde(2, 8) == 5) // {Gender=M}, {Gender=F}
-    assert(prop09.kTilde(3, 8) == 7) // {School=MS}, {Address=R}
-    assert(prop09.kTilde(3, 6) == 9) // {School=MS, Address=R}
+    assert(prop09.nextBiasedK(2, 8, 1, 16) == 5) // {Gender=M}, {Gender=F}
+    assert(prop09.nextBiasedK(3, 8, 1, 16) == 7) // {School=MS}, {Address=R}
+    assert(prop09.nextBiasedK(3, 6, 1, 16) == 9) // {School=MS, Address=R}
   }
 
-  test("kTilde is consistent with the biased predicate") {
+  test("nextBiasedK is consistent with the biased predicate") {
     for (alpha <- Seq(0.5, 0.8, 0.9, 1.0, 1.3); sD <- 1L to 16L; cnt <- 0L to sD) {
       val b = ProportionalLowerBound(alpha, 16)
-      val kt = b.kTilde(cnt, sD)
+      val kt = b.nextBiasedK(cnt, sD, 1, 1000)
       if (kt != Int.MaxValue) {
-        assert(b.biased(cnt, sD, kt), s"not biased at kTilde: a=$alpha sD=$sD cnt=$cnt kt=$kt")
-        if (kt > 1) assert(!b.biased(cnt, sD, kt - 1), s"already biased before kTilde: a=$alpha sD=$sD cnt=$cnt kt=$kt")
+        assert(b.biased(cnt, sD, kt), s"not biased at nextBiasedK: a=$alpha sD=$sD cnt=$cnt kt=$kt")
+        if (kt > 1) assert(!b.biased(cnt, sD, kt - 1), s"already biased before nextBiasedK: a=$alpha sD=$sD cnt=$cnt kt=$kt")
       }
     }
+  }
+
+  test("nextBiasedK(0, 0) finds no k: a pattern with s_D = 0 is never biased") {
+    assert(prop09.nextBiasedK(0, 0, 1, 10) == Int.MaxValue)
+  }
+
+  test("nextBiasedK on step bounds is the next step of L_k above the count") {
+    val b = GlobalLowerBound.paperDefault
+    assert(b.nextBiasedK(cnt = 15, sD = 100, from = 11, until = 49) == 20)
+    assert(b.nextBiasedK(cnt = 5, sD = 100, from = 11, until = 49) == 11)
+    assert(b.nextBiasedK(cnt = 40, sD = 100, from = 11, until = 49) == Int.MaxValue)
   }
 
   // ---- engine behaviour ----
