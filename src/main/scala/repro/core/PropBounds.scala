@@ -88,7 +88,6 @@ object PropBounds {
           visited(p) = st
           expanded += p
           schedule(p, st, k)
-        case _ => ()
       }
       examined += ex
       timedOut ||= to

@@ -17,11 +17,10 @@ import scala.collection.mutable
   */
 object TopDownSearch {
 
-  /** What the BFS engine observed for a counted node. */
+  /** What the BFS engine observed for a counted node of size at least
+    * `τ_s` (smaller nodes and their subtrees are pruned unreported).
+    */
   sealed trait Visit { def p: Pattern }
-
-  /** Dataset size below `τ_s`; subtree pruned. */
-  final case class TooSmall(p: Pattern, sD: Long) extends Visit
 
   /** Biased at this k; subtree cut (not most general below). */
   final case class Biased(p: Pattern, sD: Long, cnt: Long) extends Visit
@@ -52,7 +51,7 @@ object TopDownSearch {
         val next = mutable.ArrayBuffer.empty[Pattern]
         for (p <- frontier) {
           val (sD, cnt) = counts(p)
-          if (sD < tauS) onVisit(TooSmall(p, sD))
+          if (sD < tauS) () // subtree pruned: size is anti-monotone
           else if (bound.biased(cnt, sD, k)) onVisit(Biased(p, sD, cnt))
           else {
             onVisit(Open(p, sD, cnt))

@@ -191,8 +191,4 @@ object BiasDataGen {
     val specs = (scoring ++ filler).take(nAttrs)
     generate(spark, "german", n, specs, noise = 0.10, seed = seed)
   }
-
-  /** Scaled COMPAS-like dataset for the distributed-counting bench. */
-  def compasScaled(spark: SparkSession, n: Long, seed: Long = 42): RankedDataset =
-    compasLike(spark, nAttrs = 16, n = n, seed = seed)
 }

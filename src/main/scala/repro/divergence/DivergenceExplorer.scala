@@ -1,7 +1,7 @@
 package repro.divergence
 
 import scala.collection.mutable
-import repro.core.{Budget, Pattern, PatternCounter}
+import repro.core.{Budget, GlobalLowerBound, Pattern, PatternCounter, TopDownSearch}
 
 /** Reimplementation of the comparison method of Pastor, de Alfaro and
   * Baralis [27] ("Identifying biased subgroups in ranking and
@@ -14,10 +14,10 @@ import repro.core.{Budget, Pattern, PatternCounter}
   * *all* subgroups with support at least `minSupport` (no most-general
   * filtering and a single k), ranked by divergence.
   *
-  * Enumeration is level-wise over the search tree (support is
-  * anti-monotone), with each level counted in one
-  * [[PatternCounter.countBatch]] call — frequent-pattern mining as
-  * DataFrame aggregation when backed by the Spark counter.
+  * Enumeration is the level-wise top-down search of
+  * [[TopDownSearch.bfs]] with `τ_s = minSupport` (support is
+  * anti-monotone) and a bound that flags nothing, so each level is one
+  * [[PatternCounter.countBatch]] call.
   */
 object DivergenceExplorer {
 
@@ -35,20 +35,12 @@ object DivergenceExplorer {
   ): Seq[DivGroup] = {
     val oD = k.toDouble / counter.datasetSize
     val out = mutable.ArrayBuffer.empty[DivGroup]
-    var frontier: Seq[Pattern] =
-      Pattern.root(counter.width).searchTreeChildren(counter.domainSizes)
-    while (frontier.nonEmpty && !budget.expired) {
-      val counts = counter.countBatch(frontier, k)
-      val next = mutable.ArrayBuffer.empty[Pattern]
-      for (p <- frontier) {
-        val (sD, cnt) = counts(p)
-        if (sD >= minSupport) {
-          val oG = cnt.toDouble / sD
-          out += DivGroup(p, sD, oG, oG - oD)
-          next ++= p.searchTreeChildren(counter.domainSizes)
-        }
-      }
-      frontier = next.toSeq
+    val frontier0 = Pattern.root(counter.width).searchTreeChildren(counter.domainSizes)
+    TopDownSearch.bfs(counter, GlobalLowerBound(_ => 0.0), minSupport, k, frontier0, budget) {
+      case TopDownSearch.Open(p, sD, cnt) =>
+        val oG = cnt.toDouble / sD
+        out += DivGroup(p, sD, oG, oG - oD)
+      case _ => ()
     }
     out.sortBy(g => (-g.divergence, g.p.toString)).toSeq
   }

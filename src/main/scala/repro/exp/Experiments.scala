@@ -176,14 +176,6 @@ object Experiments {
         }
     }
 
-  /** Section III claim: in 97.58 % of cases fewer than 100 groups are
-    * reported. Computed over all per-k result cells of the given runs.
-    */
-  def under100Share(rows: Seq[TimingRow]): (Long, Long) = {
-    val cells = rows.flatMap(_.resCells)
-    (cells.count(_ < 100).toLong, cells.size.toLong)
-  }
-
   // ------------------------------------------------------------------
   // T4/T5 — Figure 10: Shapley-based result analysis.
   // ------------------------------------------------------------------
@@ -247,7 +239,7 @@ object Experiments {
 
   def t7Scale(spark: SparkSession, sizes: Seq[Long] = Seq(10000, 100000)): Seq[ScaleRow] = {
     sizes.flatMap { n =>
-      val ds = BiasDataGen.compasScaled(spark, n)
+      val ds = BiasDataGen.compasLike(spark, n = n)
       // 10 attributes keep the frontier (and hence the number of Catalyst
       // aggregation plans) moderate; throughput, not depth, is measured.
       val attrs = ds.attrCols.take(10)
@@ -273,8 +265,65 @@ object Experiments {
   }
 
   // ------------------------------------------------------------------
-  // Rendering helpers shared by jobs and benches.
+  // Table rendering shared by jobs and benches.
   // ------------------------------------------------------------------
+
+  /** Section III claim: in 97.58 % of cases fewer than 100 groups are
+    * reported. Counted over all per-k result cells of the given runs.
+    */
+  def renderUnder100(rows: Seq[TimingRow]): String = {
+    val cells = rows.flatMap(_.resCells)
+    val (u, t) = (cells.count(_ < 100), cells.size)
+    f"result cells with <100 groups: $u/$t (${100.0 * u / math.max(1, t)}%.2f%%; paper: 97.58%%)"
+  }
+
+  /** T3b, followed by the gains the paper quotes. */
+  def renderGains(gains: Seq[GainRow]): String =
+    Tables.render("T3b: patterns-examined gain of optimized vs ITERTD",
+      Seq("dataset", "problem", "kMax", "IterTD", "optimized", "gain%"),
+      gains.map(g => Seq(g.dataset, g.problem, g.kMax.toString,
+        g.baseExamined.toString, g.optExamined.toString, f"${g.gainPct}%.2f"))) +
+      "\npaper gains: global 39.35% (COMPAS) 56.87% (student) 29.27% (credit); " +
+      "prop 39.60% / 20.49% / 56.83%"
+
+  /** T4: the top-6 aggregated Shapley values of one explained group. */
+  def renderShapley(name: String, ex: ResultAnalysis.Explanation): String =
+    Tables.render(s"T4 / Figure 10: aggregated Shapley — $name, group ${ex.rendered}",
+      Seq("attribute", "aggregated Shapley"),
+      ex.aggShapley.take(6).map { case (a, v) => Seq(a, f"$v%.4f") })
+
+  /** T5: the top attribute's value shares, top-k vs group. */
+  def renderDistributions(name: String, ex: ResultAnalysis.Explanation): String =
+    Tables.render(
+      s"T5 / Figure 10d-f: $name, attribute '${ex.topAttr}', group ${ex.rendered}",
+      Seq("value", "top-k share", "group share"),
+      ex.topkDist.zip(ex.groupDist).map { case ((v, tk), (_, g)) =>
+        Seq(v, f"$tk%.3f", f"$g%.3f")
+      })
+
+  /** T6 (groups per method) and T6b (top-5 groups by divergence). */
+  def renderCaseStudy(cs: CaseStudy): String =
+    Tables.render("T6 / VI-D: detected groups per method (paper: 2 / 5 / 28)",
+      Seq("method", "#groups", "groups"),
+      Seq(
+        Seq("PropBounds", cs.propPatterns.size.toString,
+          cs.propPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
+        Seq("GlobalBounds", cs.globalPatterns.size.toString,
+          cs.globalPatterns.map(cs.index.render).toSeq.sorted.mkString("; ")),
+        Seq("Divergence[27]", cs.divergenceGroups.size.toString,
+          cs.divergenceGroups.take(5).map(g => cs.index.render(g.p)).mkString("; ") + "; ..."),
+      )) + "\n" +
+      Tables.render("T6b: top-5 groups by divergence",
+        Seq("group", "support", "outcome", "divergence"),
+        cs.divergenceGroups.take(5).map(g =>
+          Seq(cs.index.render(g.p), g.support.toString, f"${g.outcome}%.3f", f"${g.divergence}%.3f")))
+
+  /** T7: search time per counting engine and dataset size. */
+  def renderScale(rows: Seq[ScaleRow]): String =
+    Tables.render("T7: top-down search, Spark vs local counting engine",
+      Seq("rows", "engine", "time", "|Res|", "examined"),
+      rows.map(r => Seq(r.nRows.toString, r.engine, Tables.fmtMillis(r.millis, timedOut = false),
+        r.resSize.toString, r.examined.toString)))
 
   def renderTimings(title: String, rows: Seq[TimingRow]): String =
     Tables.render(title,

@@ -1,6 +1,5 @@
 package repro.shapley
 
-import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.Pattern
 import repro.data.{BiasDataGen, Encoding}
@@ -9,11 +8,15 @@ import repro.data.{BiasDataGen, Encoding}
   * having biased representation in the top-k,
   *
   *  1. train the surrogate regression model `M_R` on `(t, rank(t))`;
-  *  2. compute per-tuple Shapley values of every tuple in the group and
-  *     aggregate them per attribute, `s_i = Σ_t s_i^t / s_D(p)`, as a
-  *     DataFrame aggregation over the group's rows;
+  *  2. aggregate the per-tuple Shapley values of the group's tuples per
+  *     attribute, `s_i = Σ_t s_i^t / s_D(p)`. `M_R` is linear in the
+  *     one-hot features, so this is the exact Shapley value at the
+  *     group's mean one-hot vector ([[Shapley.linear]]);
   *  3. compare the value distribution of the highest-Shapley attribute
   *     between the group and the top-k tuples (Figures 10d–f).
+  *
+  * Steps 2 and 3 need only the group and top-k count of every one-hot
+  * feature, which one aggregation over the encoded data yields.
   */
 object ResultAnalysis {
 
@@ -37,65 +40,57 @@ object ResultAnalysis {
     * tests).
     */
   def explain(ranked: BiasDataGen.RankedDataset, pattern: Pattern, k: Int): Explanation = {
-    val spark = ranked.df.sparkSession
-    import spark.implicits._
-
     val attrs = ranked.attrCols
     require(pattern.width == attrs.length, "pattern width must match the schema")
     val (enc, domainSizes, dicts) = Encoding.encode(ranked.df, attrs, ranked.rankCol)
     val encCached = enc.cache()
     val model = RidgeRegression.fit(encCached, attrs, domainSizes, ranked.rankCol)
+    val offsets = model.offsets
 
-    val m = attrs.length
-    val bcModel = spark.sparkContext.broadcast(model)
-
-    // Per-tuple Shapley vectors, kept alongside the encoded values.
-    val shapDf: DataFrame = encCached
-      .select(attrs.map(c => col(c).cast("int")) :+ col(ranked.rankCol).cast("int"): _*)
-      .map { r =>
-        val vals = Array.tabulate(m)(r.getInt)
-        val shap = Shapley.linearExact(bcModel.value, vals)
-        (r.getInt(m), vals.toSeq, shap.toSeq)
-      }
-      .toDF("rank", "vals", "shap")
-
-    val groupPred = pattern.attrs
-      .map(a => element_at(col("vals"), a + 1) === lit(pattern.vals(a)))
+    // Group and top-k count of every one-hot feature, in one aggregation.
+    val inGroup = pattern.attrs
+      .map(a => col(attrs(a)) === lit(pattern.vals(a)))
       .reduceOption(_ && _)
       .getOrElse(lit(true))
-
-    // s_i = Σ_{t ⊨ p} s_i^t / s_D(p) — one aggregation over the group.
-    val aggExprs = (0 until m).map(i => avg(element_at(col("shap"), i + 1)).alias(s"s$i"))
-    val aggRow = shapDf.filter(groupPred).agg(aggExprs.head, aggExprs.tail: _*).collect()(0)
-    val agg = (0 until m)
-      .map(i => attrs(i) -> aggRow.getDouble(i))
-      .sortBy { case (_, v) => -math.abs(v) }
-
-    val topAttr = agg.head._1
-    val topIdx = attrs.indexOf(topAttr)
-
-    def distribution(pred: org.apache.spark.sql.Column): Seq[(String, Double)] = {
-      val rows = shapDf
-        .filter(pred)
-        .groupBy(element_at(col("vals"), topIdx + 1).alias("v"))
-        .agg(count(lit(1)).alias("c"))
-        .collect()
-      val total = rows.map(_.getLong(1)).sum.toDouble
-      (0 until domainSizes(topIdx)).map { v =>
-        val c = rows.find(_.getInt(0) == v).map(_.getLong(1)).getOrElse(0L)
-        dicts(topIdx)(v) -> (if (total == 0) 0.0 else c / total)
+    val groupCounts = new Array[Long](offsets.last)
+    val topkCounts = new Array[Long](offsets.last)
+    encCached
+      .select(
+        explode(array(attrs.indices.map(a => col(attrs(a)) + lit(offsets(a))): _*)).alias("f"),
+        inGroup.alias("g"),
+        (col(ranked.rankCol) <= lit(k)).alias("t"))
+      .groupBy("f")
+      .agg(count(when(col("g"), 1)), count(when(col("t"), 1)))
+      .collect()
+      .foreach { r =>
+        groupCounts(r.getInt(0)) = r.getLong(1)
+        topkCounts(r.getInt(0)) = r.getLong(2)
       }
+    encCached.unpersist()
+
+    val rendered = pattern.render(attrs, dicts)
+    // Every tuple has one value per attribute, so any block sums to s_D(p).
+    val sD = groupCounts.slice(0, offsets(1)).sum
+    require(sD > 0, s"pattern $rendered matches no tuple")
+
+    val phi = Shapley.linear(model, groupCounts.map(_.toDouble / sD))
+    val byMagnitude = attrs.indices.sortBy(a => -math.abs(phi(a)))
+    val top = byMagnitude.head
+
+    /** (value label, share) of the top attribute's values in `counts`. */
+    def shares(counts: Array[Long]): Seq[(String, Double)] = {
+      val block = counts.slice(offsets(top), offsets(top + 1))
+      val total = block.sum.toDouble
+      block.indices.map(v => dicts(top)(v) -> (if (total == 0) 0.0 else block(v) / total))
     }
 
-    val out = Explanation(
+    Explanation(
       pattern = pattern,
-      rendered = pattern.render(attrs, dicts),
-      aggShapley = agg,
-      topAttr = topAttr,
-      groupDist = distribution(groupPred),
-      topkDist = distribution(col("rank") <= lit(k)),
+      rendered = rendered,
+      aggShapley = byMagnitude.map(a => attrs(a) -> phi(a)),
+      topAttr = attrs(top),
+      groupDist = shares(groupCounts),
+      topkDist = shares(topkCounts),
     )
-    encCached.unpersist()
-    out
   }
 }

@@ -5,9 +5,9 @@ import scala.util.Random
 /** Shapley-value attribution of attributes to a model's output
   * (Section V). Two engines:
   *
-  *  - [[linearExact]] — closed form for the linear surrogate `M_R`
+  *  - [[linear]] — closed form for the linear surrogate `M_R`
   *    under the feature-independence assumption:
-  *    `φ_a(t) = Σ_{j ∈ onehot(a)} w_j (x_j − E[x_j])`;
+  *    `φ_a(x) = Σ_{j ∈ onehot(a)} w_j (x_j − E[x_j])`;
   *  - [[monteCarlo]] — the permutation-sampling approximation of
   *    Štrumbelj & Kononenko [35] for an arbitrary black-box model,
   *    drawing background tuples from the dataset.
@@ -19,23 +19,24 @@ import scala.util.Random
   */
 object Shapley {
 
+  /** Exact per-attribute Shapley values of `model` at feature vector `x`:
+    * a one-hot encoded tuple, or the mean of those vectors over a group.
+    * The closed form is linear in `x`, so at a group's mean vector it
+    * equals the mean of the group's per-tuple values (Section V's
+    * `s_i = Σ_{t ⊨ p} s_i^t / s_D(p)`).
+    */
+  def linear(model: RidgeRegression.Model, x: Array[Double]): Array[Double] =
+    Array.tabulate(model.attrCols.length) { a =>
+      (model.offsets(a) until model.offsets(a + 1))
+        .map(j => model.weights(j) * (x(j) - model.featureMeans(j)))
+        .sum
+    }
+
   /** Exact per-attribute Shapley values of `model` at encoded tuple `t`. */
   def linearExact(model: RidgeRegression.Model, t: Array[Int]): Array[Double] = {
-    val m = model.attrCols.length
-    val out = new Array[Double](m)
-    var a = 0
-    while (a < m) {
-      val off = model.offsets(a)
-      var phi = model.weights(off + t(a))
-      var v = 0
-      while (v < model.domainSizes(a)) {
-        phi -= model.weights(off + v) * model.featureMeans(off + v)
-        v += 1
-      }
-      out(a) = phi
-      a += 1
-    }
-    out
+    val x = new Array[Double](model.offsets.last)
+    for (a <- t.indices) x(model.offsets(a) + t(a)) = 1.0
+    linear(model, x)
   }
 
   /** Monte-Carlo Shapley values of a black-box `f` at tuple `t`.

@@ -1,19 +1,44 @@
 package repro.shapley
 
 import repro.SparkSpec
+import org.apache.spark.sql.functions._
 import repro.core.Pattern
-import repro.data.BiasDataGen
+import repro.data.{BiasDataGen, Encoding}
 
 class ResultAnalysisSpec extends SparkSpec {
 
   // Use a moderate schema so the suite stays fast.
   private lazy val student = BiasDataGen.studentLike(spark, nAttrs = 12)
 
-  private lazy val meduExpl = {
-    // group {Medu = 0} (primary education) — the paper's p1 analogue.
-    val meduIdx = student.attrCols.indexOf("Medu")
-    val p = Pattern.of(student.attrCols.size, meduIdx -> 0)
-    ResultAnalysis.explain(student, p, k = 49)
+  private lazy val meduIdx = student.attrCols.indexOf("Medu")
+
+  // group {Medu = 0} (primary education) — the paper's p1 analogue.
+  private lazy val meduExpl =
+    ResultAnalysis.explain(student, Pattern.of(student.attrCols.size, meduIdx -> 0), k = 49)
+
+  test("aggregated Shapley is the mean of the group's per-tuple Shapley values") {
+    val attrs = student.attrCols
+    val (enc, domainSizes, _) = Encoding.encode(student.df, attrs, student.rankCol)
+    val cached = enc.cache()
+    val model = RidgeRegression.fit(cached, attrs, domainSizes, student.rankCol)
+    val group = cached.filter(col("Medu") === 0).collect().map(r => Array.tabulate(attrs.size)(r.getInt))
+    cached.unpersist()
+    val perTuple = group.map(Shapley.linearExact(model, _))
+    for ((attr, v) <- meduExpl.aggShapley) {
+      val a = attrs.indexOf(attr)
+      val mean = perTuple.map(_(a)).sum / group.length
+      assert(math.abs(v - mean) < 1e-9, s"$attr: $v vs per-tuple mean $mean")
+    }
+  }
+
+  test("group distribution equals the value shares among the group's indexed rows") {
+    val ix = Encoding.index(student.df, student.attrCols, student.rankCol)
+    val top = student.attrCols.indexOf(meduExpl.topAttr)
+    val group = ix.rows.filter(_(meduIdx) == 0)
+    val expected = ix.domains(top).indices.map { v =>
+      ix.domains(top)(v) -> group.count(_(top) == v).toDouble / group.length
+    }
+    assert(meduExpl.groupDist == expected)
   }
 
   test("aggregated Shapley covers every attribute") {
@@ -66,6 +91,14 @@ class ResultAnalysisSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       ResultAnalysis.explain(student, Pattern.of(3, 0 -> 0), k = 10)
     }
+  }
+
+  test("explain rejects a pattern no tuple satisfies, naming it") {
+    val at = student.attrCols.indexOf(_: String)
+    val empty = Pattern.of(student.attrCols.size,
+      at("school") -> 1, at("sex") -> 0, at("age") -> 1, at("address") -> 0, at("Medu") -> 0, at("Fedu") -> 0)
+    val e = intercept[IllegalArgumentException](ResultAnalysis.explain(student, empty, k = 10))
+    assert(e.getMessage.contains("{school=1, sex=0, age=1, address=0, Medu=0, Fedu=0}"), e.getMessage)
   }
 
   test("german-like: scoring attributes dominate the attribution (Fig 10c analogue)") {
