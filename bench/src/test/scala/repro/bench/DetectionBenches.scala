@@ -85,15 +85,3 @@ class T3KRangeBench extends SparkSpec {
         s"${g.dataset}/${g.problem}: optimized examined no fewer patterns (${g.gainPct}%)")
   }
 }
-
-/** T7 — the distributed counting engine at scale (ours). */
-class T7ScaleBench extends SparkSpec {
-
-  test("T7: Spark vs local counting engine on scaled data") {
-    val rows = Experiments.t7Scale(spark, sizes = Seq(10000, 100000))
-    println(Experiments.renderScale(rows))
-    // Engine agreement is asserted inside the runner; here only sanity.
-    assert(rows.nonEmpty)
-    assert(rows.groupBy(_.nRows).forall(_._2.map(_.resSize).distinct.size == 1))
-  }
-}

@@ -76,12 +76,3 @@ object T6CaseStudyJob {
     spark.stop()
   }
 }
-
-/** T7 — distributed counting engine at scale (DataFrame aggregation). */
-object T7ScaleJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("repro-t7")
-    println(Experiments.renderScale(Experiments.t7Scale(spark)))
-    spark.stop()
-  }
-}

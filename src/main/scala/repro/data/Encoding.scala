@@ -4,55 +4,42 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.DatasetIndex
 
-/** Bridges ranked DataFrames and the search algorithms' inputs.
+/** Bridges a ranked DataFrame and the driver-side [[DatasetIndex]] that
+  * detection and result analysis both read.
   *
   * Values of the pattern attributes are treated as opaque categoricals;
-  * a deterministic dictionary (values sorted by string form) maps them
-  * to dense indices for both the driver-side [[DatasetIndex]] and the
-  * integer-encoded DataFrame consumed by
-  * [[repro.core.SparkPatternCounter]].
+  * a deterministic dictionary (values sorted by string form, nulls as
+  * `∅`) maps them to dense indices.
   */
 object Encoding {
 
-  /** Per-attribute value dictionaries: sorted distinct string forms. */
-  def dictionaries(df: DataFrame, attrCols: Seq[String]): IndexedSeq[IndexedSeq[String]] =
-    attrCols.toIndexedSeq.map { c =>
-      df.select(col(c).cast("string"))
-        .distinct()
-        .collect()
-        .map(r => Option(r.getString(0)).getOrElse("∅"))
-        .sorted
-        .toIndexedSeq
-    }
-
-  /** Integer-encode the pattern attributes of a ranked DataFrame.
+  /** Build the bitset index from a ranked DataFrame in two Spark jobs:
+    * one aggregation collects every attribute's dictionary, one sorted
+    * collect fetches the int-encoded rows in rank order.
     *
-    * @return (encoded DataFrame with one int column per attribute plus
-    *         the rank column, per-attribute domain sizes)
+    * @throws IllegalArgumentException unless `rankCol` holds exactly
+    *         1..|D| (a gap or a tie would make positions and ranks differ)
     */
-  def encode(
-      df: DataFrame,
-      attrCols: Seq[String],
-      rankCol: String,
-  ): (DataFrame, IndexedSeq[Int], IndexedSeq[IndexedSeq[String]]) = {
-    val dicts = dictionaries(df, attrCols)
-    val encodedCols = attrCols.zipWithIndex.map { case (c, i) =>
-      val mapping = map(dicts(i).zipWithIndex.flatMap { case (v, j) =>
-        Seq(lit(v), lit(j))
-      }: _*)
-      element_at(mapping, coalesce(col(c).cast("string"), lit("∅"))).alias(c)
-    }
-    val enc = df.select(encodedCols :+ col(rankCol).cast("int").alias(rankCol): _*)
-    (enc, dicts.map(_.size), dicts)
-  }
-
-  /** Build the driver-side bitset index from a ranked DataFrame. */
   def index(df: DataFrame, attrCols: Seq[String], rankCol: String): DatasetIndex = {
-    val (enc, domainSizes, dicts) = encode(df, attrCols, rankCol)
-    val rows = enc
+    // collect_set drops nulls, so they get their sentinel first.
+    val labels = attrCols.map(c => coalesce(col(c).cast("string"), lit("∅")))
+    val sets = df.select(labels.map(collect_set): _*).head()
+    val dicts = attrCols.indices.map(i => sets.getSeq[String](i).sorted.toIndexedSeq)
+    val encoded = attrCols.indices.map { i =>
+      element_at(map(dicts(i).zipWithIndex.flatMap { case (v, j) => Seq(lit(v), lit(j)) }: _*), labels(i))
+    }
+    val width = attrCols.length
+    val collected = df
+      .select(encoded :+ col(rankCol).cast("int").alias(rankCol): _*)
       .orderBy(col(rankCol))
       .collect()
-      .map(r => Array.tabulate(attrCols.length)(i => r.getInt(i)))
-    new DatasetIndex(rows, domainSizes, attrCols.toIndexedSeq, dicts)
+    val rows = Array.tabulate(collected.length) { i =>
+      val r = collected(i)
+      require(!r.isNullAt(width) && r.getInt(width) == i + 1,
+        s"rank column '$rankCol' must hold exactly 1..${collected.length}; " +
+          s"position ${i + 1} has rank ${r.get(width)}")
+      Array.tabulate(width)(r.getInt)
+    }
+    new DatasetIndex(rows, dicts.map(_.size), attrCols.toIndexedSeq, dicts)
   }
 }

@@ -232,39 +232,6 @@ object Experiments {
   }
 
   // ------------------------------------------------------------------
-  // T7 — distributed counting at scale (ours; DESIGN.md §1 fidelity note).
-  // ------------------------------------------------------------------
-
-  final case class ScaleRow(nRows: Long, engine: String, millis: Long, resSize: Int, examined: Long)
-
-  def t7Scale(spark: SparkSession, sizes: Seq[Long] = Seq(10000, 100000)): Seq[ScaleRow] = {
-    sizes.flatMap { n =>
-      val ds = BiasDataGen.compasLike(spark, n = n)
-      // 10 attributes keep the frontier (and hence the number of Catalyst
-      // aggregation plans) moderate; throughput, not depth, is measured.
-      val attrs = ds.attrCols.take(10)
-      val (enc, domainSizes, _) = Encoding.encode(ds.df, attrs, ds.rankCol)
-      val sparkCounter = new SparkPatternCounter(enc, attrs, ds.rankCol, domainSizes)
-      val localIx = Encoding.index(ds.df, attrs, ds.rankCol)
-      val local = new LocalPatternCounter(localIx)
-      // A shallow-but-wide search: the point is counting throughput of the
-      // distributed engine, not search depth.
-      val tauS = n / 20
-      val k = (n / 10).toInt
-      val bound = GlobalLowerBound(_ => k / 10.0)
-      val (snapS, msS) = time(TopDownSearch.singleK(sparkCounter, bound, tauS, k))
-      val (snapL, msL) = time(TopDownSearch.singleK(local, bound, tauS, k))
-      require(snapS.res.toSet == snapL.res.toSet, s"engines disagree at n=$n")
-      sparkCounter.unpersist()
-      ds.df.unpersist()
-      Seq(
-        ScaleRow(n, "SparkPatternCounter", msS, snapS.res.size, snapS.examined),
-        ScaleRow(n, "LocalPatternCounter", msL, snapL.res.size, snapL.examined),
-      )
-    }
-  }
-
-  // ------------------------------------------------------------------
   // Table rendering shared by jobs and benches.
   // ------------------------------------------------------------------
 
@@ -317,13 +284,6 @@ object Experiments {
         Seq("group", "support", "outcome", "divergence"),
         cs.divergenceGroups.take(5).map(g =>
           Seq(cs.index.render(g.p), g.support.toString, f"${g.outcome}%.3f", f"${g.divergence}%.3f")))
-
-  /** T7: search time per counting engine and dataset size. */
-  def renderScale(rows: Seq[ScaleRow]): String =
-    Tables.render("T7: top-down search, Spark vs local counting engine",
-      Seq("rows", "engine", "time", "|Res|", "examined"),
-      rows.map(r => Seq(r.nRows.toString, r.engine, Tables.fmtMillis(r.millis, timedOut = false),
-        r.resSize.toString, r.examined.toString)))
 
   def renderTimings(title: String, rows: Seq[TimingRow]): String =
     Tables.render(title,

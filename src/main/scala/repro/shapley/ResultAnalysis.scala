@@ -1,6 +1,5 @@
 package repro.shapley
 
-import org.apache.spark.sql.functions._
 import repro.core.Pattern
 import repro.data.{BiasDataGen, Encoding}
 
@@ -15,8 +14,9 @@ import repro.data.{BiasDataGen, Encoding}
   *  3. compare the value distribution of the highest-Shapley attribute
   *     between the group and the top-k tuples (Figures 10d–f).
   *
-  * Steps 2 and 3 need only the group and top-k count of every one-hot
-  * feature, which one aggregation over the encoded data yields.
+  * All three steps read the one [[repro.core.DatasetIndex]] that
+  * detection reads too; steps 2 and 3 need only the group and top-k
+  * count of every one-hot feature, which one pass over its rows yields.
   */
 object ResultAnalysis {
 
@@ -38,37 +38,33 @@ object ResultAnalysis {
     * `ranked`. Shapley values use the exact closed form for the linear
     * surrogate (the Monte-Carlo engine is validated against it in
     * tests).
+    *
+    * @throws IllegalArgumentException unless `1 ≤ k ≤ |D|` and some
+    *         tuple satisfies `pattern`
     */
   def explain(ranked: BiasDataGen.RankedDataset, pattern: Pattern, k: Int): Explanation = {
     val attrs = ranked.attrCols
     require(pattern.width == attrs.length, "pattern width must match the schema")
-    val (enc, domainSizes, dicts) = Encoding.encode(ranked.df, attrs, ranked.rankCol)
-    val encCached = enc.cache()
-    val model = RidgeRegression.fit(encCached, attrs, domainSizes, ranked.rankCol)
+    val ix = Encoding.index(ranked.df, attrs, ranked.rankCol)
+    require(k >= 1 && k <= ix.size, s"k = $k must lie in [1, |D| = ${ix.size}]")
+    // The label of the rank-(i+1) tuple is its rank; the index holds exactly 1..|D|.
+    val model = RidgeRegression.fit(ix.rows, Array.tabulate(ix.size)(i => i + 1.0), attrs, ix.domainSizes)
     val offsets = model.offsets
 
-    // Group and top-k count of every one-hot feature, in one aggregation.
-    val inGroup = pattern.attrs
-      .map(a => col(attrs(a)) === lit(pattern.vals(a)))
-      .reduceOption(_ && _)
-      .getOrElse(lit(true))
+    // Group and top-k count of every one-hot feature, in one pass.
     val groupCounts = new Array[Long](offsets.last)
     val topkCounts = new Array[Long](offsets.last)
-    encCached
-      .select(
-        explode(array(attrs.indices.map(a => col(attrs(a)) + lit(offsets(a))): _*)).alias("f"),
-        inGroup.alias("g"),
-        (col(ranked.rankCol) <= lit(k)).alias("t"))
-      .groupBy("f")
-      .agg(count(when(col("g"), 1)), count(when(col("t"), 1)))
-      .collect()
-      .foreach { r =>
-        groupCounts(r.getInt(0)) = r.getLong(1)
-        topkCounts(r.getInt(0)) = r.getLong(2)
+    for (i <- ix.rows.indices) {
+      val row = ix.rows(i)
+      val inGroup = pattern.matches(row)
+      for (a <- row.indices) {
+        val f = offsets(a) + row(a)
+        if (inGroup) groupCounts(f) += 1
+        if (i < k) topkCounts(f) += 1
       }
-    encCached.unpersist()
+    }
 
-    val rendered = pattern.render(attrs, dicts)
+    val rendered = ix.render(pattern)
     // Every tuple has one value per attribute, so any block sums to s_D(p).
     val sD = groupCounts.slice(0, offsets(1)).sum
     require(sD > 0, s"pattern $rendered matches no tuple")
@@ -80,8 +76,8 @@ object ResultAnalysis {
     /** (value label, share) of the top attribute's values in `counts`. */
     def shares(counts: Array[Long]): Seq[(String, Double)] = {
       val block = counts.slice(offsets(top), offsets(top + 1))
-      val total = block.sum.toDouble
-      block.indices.map(v => dicts(top)(v) -> (if (total == 0) 0.0 else block(v) / total))
+      val total = block.sum.toDouble // s_D(p) or k, both positive
+      block.indices.map(v => ix.domains(top)(v) -> block(v) / total)
     }
 
     Explanation(

@@ -1,18 +1,15 @@
 package repro.shapley
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Ridge regression over one-hot-encoded categorical attributes — the
   * paper's surrogate regression model `M_R` trained on
   * `D_R = {(t, R(D)[t])}` to approximate the black-box ranker
   * (Section V).
   *
   * The design-matrix moments `XᵀX`, `Xᵀy` and the feature sums are
-  * accumulated in a single distributed pass (`mapPartitions` + `reduce`
-  * on a typed Dataset), and the regularized normal equations are solved
-  * with a dense Cholesky factorization on the driver; the feature count
-  * is Σ |Dom(A_i)| + 1 — tiny compared to the data.
+  * accumulated in one pass over the encoded rows on the driver, and the
+  * regularized normal equations are solved with a dense Cholesky
+  * factorization; the feature count is Σ |Dom(A_i)| + 1 — tiny compared
+  * to the data.
   */
 object RidgeRegression {
 
@@ -52,63 +49,49 @@ object RidgeRegression {
     }
   }
 
-  /** Fit on an integer-encoded DataFrame (as produced by
-    * [[repro.data.Encoding.encode]]) with a numeric label column.
+  /** Fit on encoded rows (value index per attribute, as in
+    * [[repro.core.DatasetIndex.rows]]) with one label per row.
     */
   def fit(
-      encoded: DataFrame,
+      rows: Array[Array[Int]],
+      labels: Array[Double],
       attrCols: Seq[String],
       domainSizes: IndexedSeq[Int],
-      labelCol: String,
       lambda: Double = 1e-6,
   ): Model = {
-    val spark = encoded.sparkSession
-    import spark.implicits._
+    require(rows.length == labels.length, "one label per row")
+    val n = rows.length
+    require(n > 0, "empty training set")
 
     val m = attrCols.length
     val offsets = domainSizes.scanLeft(0)(_ + _) // offsets(m) = #one-hot features
     val d = offsets(m) + 1                       // + intercept
     val tri = d * (d + 1) / 2                    // upper-triangular XtX size
 
-    val moments = encoded
-      .select(attrCols.map(c => col(c).cast("int")) :+ col(labelCol).cast("double"): _*)
-      .mapPartitions { it =>
-        val xtx = new Array[Double](tri)
-        val xty = new Array[Double](d)
-        val cnt = Array(0.0)
-        val feat = new Array[Int](m + 1)
-        for (r <- it) {
-          var a = 0
-          while (a < m) { feat(a) = offsets(a) + r.getInt(a); a += 1 }
-          feat(m) = d - 1 // intercept
-          val y = r.getDouble(m)
-          var i = 0
-          while (i <= m) {
-            val fi = feat(i)
-            xty(fi) += y
-            var j = i
-            while (j <= m) {
-              val fj = feat(j)
-              val (lo, hi) = if (fi <= fj) (fi, fj) else (fj, fi)
-              xtx(lo * d - lo * (lo - 1) / 2 + (hi - lo)) += 1.0
-              j += 1
-            }
-            i += 1
-          }
-          cnt(0) += 1.0
+    val xtxTri = new Array[Double](tri)
+    val xty = new Array[Double](d)
+    val feat = new Array[Int](m + 1)
+    var r = 0
+    while (r < n) {
+      var a = 0
+      while (a < m) { feat(a) = offsets(a) + rows(r)(a); a += 1 }
+      feat(m) = d - 1 // intercept
+      val y = labels(r)
+      var i = 0
+      while (i <= m) {
+        val fi = feat(i)
+        xty(fi) += y
+        var j = i
+        while (j <= m) {
+          val fj = feat(j)
+          val (lo, hi) = if (fi <= fj) (fi, fj) else (fj, fi)
+          xtxTri(lo * d - lo * (lo - 1) / 2 + (hi - lo)) += 1.0
+          j += 1
         }
-        Iterator.single((xtx, xty, cnt))
+        i += 1
       }
-      .reduce { (l, r) =>
-        var i = 0; while (i < tri) { l._1(i) += r._1(i); i += 1 }
-        i = 0; while (i < d) { l._2(i) += r._2(i); i += 1 }
-        l._3(0) += r._3(0)
-        l
-      }
-
-    val (xtxTri, xty, cntArr) = moments
-    val n = cntArr(0)
-    require(n > 0, "empty training set")
+      r += 1
+    }
 
     // densify upper-triangular XtX and add the ridge
     val a = Array.ofDim[Double](d, d)

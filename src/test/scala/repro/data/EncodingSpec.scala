@@ -11,8 +11,10 @@ class EncodingSpec extends SparkSpec {
   private lazy val rankedDf =
     RunningExample.df(spark).withColumnRenamed("paper_rank", "rank")
 
+  private lazy val ix = Encoding.index(rankedDf, attrs, "rank")
+
   test("dictionaries are sorted distinct string values") {
-    val dicts = Encoding.dictionaries(rankedDf, attrs)
+    val dicts = ix.domains
     assert(dicts(0) == IndexedSeq("F", "M"))
     assert(dicts(1) == IndexedSeq("GP", "MS"))
     assert(dicts(2) == IndexedSeq("R", "U"))
@@ -20,16 +22,15 @@ class EncodingSpec extends SparkSpec {
   }
 
   test("encode produces integer columns with the declared domain sizes") {
-    val (enc, domainSizes, _) = Encoding.encode(rankedDf, attrs, "rank")
+    val domainSizes = ix.domainSizes
     assert(domainSizes == IndexedSeq(2, 2, 2, 3))
     for ((c, i) <- attrs.zipWithIndex) {
-      val vals = enc.select(c).distinct().collect().map(_.getInt(0)).toSet
+      val vals = ix.rows.map(_(i)).toSet
       assert(vals == (0 until domainSizes(i)).toSet, s"column $c")
     }
   }
 
   test("index built from the DataFrame equals the hand-built fixture") {
-    val ix = Encoding.index(rankedDf, attrs, "rank")
     assert(ix.size == RunningExample.index.size)
     assert(ix.domainSizes == RunningExample.index.domainSizes)
     for (i <- 0 until ix.size)
@@ -37,8 +38,11 @@ class EncodingSpec extends SparkSpec {
   }
 
   test("encoding preserves the rank column") {
-    val (enc, _, _) = Encoding.encode(rankedDf, attrs, "rank")
-    val ranks = enc.select("rank").collect().map(_.getInt(0)).sorted
+    // Each tuple's labels sit at position rank - 1, so those ranks are 1..16.
+    val ranks = rankedDf.select((attrs :+ "rank").map(c => col(c).cast("string")): _*).collect()
+      .map(r => (r.getString(4).toInt, attrs.indices.map(r.getString)))
+      .collect { case (rank, labels) if labels == attrs.indices.map(a => ix.domains(a)(ix.rows(rank - 1)(a))) => rank }
+      .sorted
     assert(ranks.toSeq == (1 to 16))
   }
 
@@ -46,25 +50,40 @@ class EncodingSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq((1, Some("a"), 1), (2, None, 2), (3, Some("b"), 3))
       .toDF("id", "x", "rank")
-    val (enc, domainSizes, dicts) = Encoding.encode(df, Seq("x"), "rank")
+    val nix = Encoding.index(df, Seq("x"), "rank")
+    val (domainSizes, dicts) = (nix.domainSizes, nix.domains)
     assert(domainSizes == IndexedSeq(3))
     assert(dicts(0).contains("∅"))
-    assert(enc.select("x").collect().map(_.getInt(0)).toSet == Set(0, 1, 2))
+    assert(nix.rows.map(_(0)).toSet == Set(0, 1, 2))
   }
 
   test("numeric attribute columns are treated as categorical via string form") {
-    val (_, domainSizes, dicts) = Encoding.encode(rankedDf, Seq("failures"), "rank")
+    val fix = Encoding.index(rankedDf, Seq("failures"), "rank")
+    val (domainSizes, dicts) = (fix.domainSizes, fix.domains)
     assert(domainSizes == IndexedSeq(3))
     assert(dicts(0) == IndexedSeq("0", "1", "2"))
   }
 
   test("round trip: decoding an encoded value yields the original label") {
-    val (enc, _, dicts) = Encoding.encode(rankedDf, attrs, "rank")
-    val first = enc.orderBy("rank").limit(1).collect()(0)
+    val (first, dicts) = (ix.rows(0), ix.domains)
     // rank 1 is student 12: F, GP, U, 0
-    assert(dicts(0)(first.getInt(0)) == "F")
-    assert(dicts(1)(first.getInt(1)) == "GP")
-    assert(dicts(2)(first.getInt(2)) == "U")
-    assert(dicts(3)(first.getInt(3)) == "0")
+    assert(dicts(0)(first(0)) == "F")
+    assert(dicts(1)(first(1)) == "GP")
+    assert(dicts(2)(first(2)) == "U")
+    assert(dicts(3)(first(3)) == "0")
+  }
+
+  test("a tied rank is rejected, naming the rank column") {
+    import spark.implicits._
+    val df = Seq(("a", 1), ("b", 2), ("c", 2), ("d", 4)).toDF("x", "pos")
+    val e = intercept[IllegalArgumentException](Encoding.index(df, Seq("x"), "pos"))
+    assert(e.getMessage.contains("'pos'"), e.getMessage)
+  }
+
+  test("a gap in the ranks is rejected, naming the rank column") {
+    import spark.implicits._
+    val df = Seq(("a", 1), ("b", 2), ("c", 4)).toDF("x", "pos")
+    val e = intercept[IllegalArgumentException](Encoding.index(df, Seq("x"), "pos"))
+    assert(e.getMessage.contains("'pos'"), e.getMessage)
   }
 }

@@ -1,7 +1,6 @@
 package repro.shapley
 
 import repro.SparkSpec
-import org.apache.spark.sql.functions._
 import repro.core.Pattern
 import repro.data.{BiasDataGen, Encoding}
 
@@ -18,11 +17,9 @@ class ResultAnalysisSpec extends SparkSpec {
 
   test("aggregated Shapley is the mean of the group's per-tuple Shapley values") {
     val attrs = student.attrCols
-    val (enc, domainSizes, _) = Encoding.encode(student.df, attrs, student.rankCol)
-    val cached = enc.cache()
-    val model = RidgeRegression.fit(cached, attrs, domainSizes, student.rankCol)
-    val group = cached.filter(col("Medu") === 0).collect().map(r => Array.tabulate(attrs.size)(r.getInt))
-    cached.unpersist()
+    val ix = Encoding.index(student.df, attrs, student.rankCol)
+    val model = RidgeRegression.fit(ix.rows, Array.tabulate(ix.size)(i => i + 1.0), attrs, ix.domainSizes)
+    val group = ix.rows.filter(_(meduIdx) == 0)
     val perTuple = group.map(Shapley.linearExact(model, _))
     for ((attr, v) <- meduExpl.aggShapley) {
       val a = attrs.indexOf(attr)
@@ -85,6 +82,20 @@ class ResultAnalysisSpec extends SparkSpec {
 
   test("rendered pattern names the defining attribute") {
     assert(meduExpl.rendered.contains("Medu"))
+  }
+
+  test("explain rejects k = 0") {
+    val e = intercept[IllegalArgumentException] {
+      ResultAnalysis.explain(student, Pattern.of(student.attrCols.size, meduIdx -> 0), k = 0)
+    }
+    assert(e.getMessage.contains("k = 0"), e.getMessage)
+  }
+
+  test("explain rejects k above |D|") {
+    val e = intercept[IllegalArgumentException] {
+      ResultAnalysis.explain(student, Pattern.of(student.attrCols.size, meduIdx -> 0), k = 396)
+    }
+    assert(e.getMessage.contains("k = 396"), e.getMessage)
   }
 
   test("explain validates the pattern width") {

@@ -2,7 +2,6 @@ package repro.shapley
 
 import repro.SparkSpec
 import repro.data.{BiasDataGen, Encoding}
-import org.apache.spark.sql.functions._
 
 class ShapleySpec extends SparkSpec {
 
@@ -16,11 +15,9 @@ class ShapleySpec extends SparkSpec {
       ),
       noise = 0.05, seed = 33)
     val attrs = Seq("x", "y", "z")
-    val (enc, domainSizes, _) = Encoding.encode(ds.df, attrs, "rank")
-    val cached = enc.cache()
-    val model = RidgeRegression.fit(cached, attrs, domainSizes, "rank")
-    val rows = cached.collect().map(r => Array.tabulate(3)(r.getInt))
-    (model, rows)
+    val ix = Encoding.index(ds.df, attrs, "rank")
+    val model = RidgeRegression.fit(ix.rows, Array.tabulate(ix.size)(i => i + 1.0), attrs, ix.domainSizes)
+    (model, ix.rows)
   }
 
   test("efficiency axiom: Σφ_a = f(t) − E[f] for the exact engine") {
