@@ -70,9 +70,10 @@ final case class ProportionalLowerBound(alpha: Double, dSize: Long) extends Bias
   override def nondecreasing(kMin: Int, kMax: Int): Boolean = alpha >= 0
 }
 
-/** Cooperative wall-clock budget for the searches; checked once per BFS
-  * wave so a timed-out run returns a partial result quickly (the paper
-  * uses a 10-minute timeout in Figures 4–5).
+/** Cooperative wall-clock budget for the searches; checked before every
+  * BFS wave and, in the incremental engine, before every k, so a timed-out
+  * run returns a partial result quickly (the paper uses a 10-minute
+  * timeout in Figures 4–5).
   */
 final class Budget(deadlineNanos: Long) {
   def expired: Boolean = System.nanoTime() > deadlineNanos

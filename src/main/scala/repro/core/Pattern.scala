@@ -101,19 +101,4 @@ object Pattern {
     assignments.foreach { case (a, x) => v = v.updated(a, x) }
     Pattern(v)
   }
-
-  /** Partition `patterns` into (most general, dominated): a pattern is
-    * dominated iff some other pattern in the set strictly subsumes it.
-    * Used to maintain the `Res` / `DRes` split of Algorithms 2–3.
-    */
-  def splitMostGeneral(patterns: Iterable[Pattern]): (Set[Pattern], Set[Pattern]) = {
-    val byLevel = patterns.toSeq.distinct.sortBy(_.level)
-    val minimal = scala.collection.mutable.LinkedHashSet.empty[Pattern]
-    val dominated = scala.collection.mutable.LinkedHashSet.empty[Pattern]
-    for (p <- byLevel) {
-      if (minimal.exists(_.strictlySubsumes(p))) dominated += p
-      else minimal += p
-    }
-    (minimal.toSet, dominated.toSet)
-  }
 }

@@ -22,12 +22,18 @@ import scala.collection.mutable
   * from biased to adequately represented and whose subtree had never been
   * expanded. Every visited unbiased node has been expanded, so every most
   * general biased pattern is visited, and `Res[k]` is the set of most
-  * general currently-biased visited nodes. Correctness is enforced by
-  * tests against ITERTD on randomized inputs.
+  * general currently-biased visited nodes. At each k where the biased set
+  * changed, `Res[k]` is rebuilt by feeding that set, level by level, to a
+  * [[MostGeneral]] filter. Correctness is enforced by tests against ITERTD
+  * on randomized inputs.
   */
 object PropBounds {
 
-  private final class NodeState(val sD: Long, var cnt: Long)
+  private final class NodeState(val sD: Long, var cnt: Long, val level: Int) {
+    var biased = false
+    // Whether the node's search-tree children have been generated.
+    var expanded = false
+  }
 
   /** PROPBOUNDS for the bound `α · s_D(p) · k / |D|`. */
   def run(
@@ -63,10 +69,9 @@ object PropBounds {
 
     // Every visited node with s_D ≥ τ_s, with its live top-k count.
     val visited = mutable.LinkedHashMap.empty[Pattern, NodeState]
-    // Nodes whose search-tree children have been generated.
-    val expanded = mutable.HashSet.empty[Pattern]
-    // Currently biased visited nodes.
-    val biasedSet = mutable.LinkedHashSet.empty[Pattern]
+    // Currently biased visited nodes, by level, so Res is rebuilt in level
+    // order without a sort.
+    val biasedByLevel = Array.fill(counter.width + 1)(mutable.LinkedHashSet.empty[Pattern])
     // The paper's K: k̃ → candidate patterns (lazily verified on arrival).
     val kBuckets = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pattern]]
 
@@ -76,17 +81,30 @@ object PropBounds {
       if (next <= kMax) kBuckets.getOrElseUpdate(next, mutable.ArrayBuffer.empty) += p
     }
 
+    def setBiased(p: Pattern, st: NodeState, biased: Boolean): Unit = {
+      st.biased = biased
+      if (biased) biasedByLevel(st.level) += p else biasedByLevel(st.level) -= p
+    }
+
+    /** The most general currently biased nodes: `Res[k]`. */
+    def mostGeneralBiased(): Set[Pattern] = {
+      val filter = new MostGeneral(counter.domainSizes)
+      biasedByLevel.foreach(_.foreach(filter.add))
+      filter.result.toSet
+    }
+
     /** BFS below `frontier0` at position k, recording node states. */
     def explore(frontier0: Seq[Pattern], k: Int): Unit = {
       if (frontier0.isEmpty) return
       val (ex, to) = TopDownSearch.bfs(counter, bound, tauS, k, frontier0, budget) {
         case TopDownSearch.Biased(p, sD, cnt) =>
-          visited(p) = new NodeState(sD, cnt)
-          biasedSet += p
-        case TopDownSearch.Open(p, sD, cnt) =>
-          val st = new NodeState(sD, cnt)
+          val st = new NodeState(sD, cnt, p.level)
           visited(p) = st
-          expanded += p
+          setBiased(p, st, biased = true)
+        case TopDownSearch.Open(p, sD, cnt) =>
+          val st = new NodeState(sD, cnt, p.level)
+          visited(p) = st
+          st.expanded = true
           schedule(p, st, k)
       }
       examined += ex
@@ -103,11 +121,14 @@ object PropBounds {
       val recovered = mutable.ArrayBuffer.empty[Pattern]
       for ((p, st) <- visited if p.matches(newRow)) {
         st.cnt += 1
-        if (biasedSet.contains(p) && !bound.biased(st.cnt, st.sD, k)) {
-          biasedSet -= p
+        if (st.biased && !bound.biased(st.cnt, st.sD, k)) {
+          setBiased(p, st, biased = false)
           changed = true
           schedule(p, st, k)
-          if (expanded.add(p)) recovered += p
+          if (!st.expanded) {
+            st.expanded = true
+            recovered += p
+          }
         }
       }
       explore(recovered.toSeq.flatMap(_.searchTreeChildren(counter.domainSizes)), k)
@@ -119,9 +140,9 @@ object PropBounds {
       kBuckets.remove(k).foreach { bucket =>
         for (p <- bucket) {
           val st = visited(p)
-          if (!biasedSet.contains(p)) {
+          if (!st.biased) {
             if (bound.biased(st.cnt, st.sD, k)) {
-              biasedSet += p
+              setBiased(p, st, biased = true)
               changed = true
             } else schedule(p, st, k)
           }
@@ -133,14 +154,18 @@ object PropBounds {
     var currentRes: Set[Pattern] = Set.empty
     var k = kMin
     while (k <= kMax && !timedOut) {
-      val changed =
-        if (k == kMin) {
-          explore(Pattern.root(counter.width).searchTreeChildren(counter.domainSizes), k)
-          true
-        } else advance(k)
-      if (!timedOut) {
-        if (changed) currentRes = Pattern.splitMostGeneral(biasedSet)._1
-        res += k -> currentRes
+      // A step that explores nothing never reaches the BFS's own check.
+      if (budget.expired) timedOut = true
+      else {
+        val changed =
+          if (k == kMin) {
+            explore(Pattern.root(counter.width).searchTreeChildren(counter.domainSizes), k)
+            true
+          } else advance(k)
+        if (!timedOut) {
+          if (changed) currentRes = mostGeneralBiased()
+          res += k -> currentRes
+        }
       }
       k += 1
     }

@@ -83,16 +83,16 @@ object TopDownSearch {
       k: Int,
       budget: Budget = Budget.unlimited,
   ): Snapshot = {
-    val res  = mutable.ArrayBuffer.empty[Pattern]
+    val res  = new MostGeneral(counter.domainSizes)
     val dres = mutable.ArrayBuffer.empty[Pattern]
     val frontier0 = Pattern.root(counter.width).searchTreeChildren(counter.domainSizes)
     val (examined, timedOut) = bfs(counter, bound, tauS, k, frontier0, budget) {
       case Biased(p, _, _) =>
         // BFS visits levels in order, so any subsuming pattern is already
         // in res — this is the paper's `update` procedure.
-        if (res.exists(_.strictlySubsumes(p))) dres += p else res += p
+        if (!res.add(p)) dres += p
       case _ => ()
     }
-    Snapshot(res.toVector, dres.toVector, examined, timedOut)
+    Snapshot(res.result.toVector, dres.toVector, examined, timedOut)
   }
 }

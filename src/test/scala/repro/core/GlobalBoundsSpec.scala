@@ -78,6 +78,38 @@ class GlobalBoundsSpec extends AnyFunSuite {
       assert(got.resByK == base.resByK, s"seed=$seed")
     }
 
+  for (tauS <- Seq(2, 5))
+    test(s"equivalent to ITERTD on 300 rows × 8 attributes with step bounds (τ_s = $tauS, seeds 0–3)") {
+      val deepest = (0 until 4).map { seed =>
+        val rix = RandomData.index(seed + 700, n = 300, m = 8)
+        val c = new LocalPatternCounter(rix)
+        val bound = RandomData.stepBound(seed, 60)
+        val got  = GlobalBounds.run(c, bound, tauS, 10, 60)
+        val base = IterTD.run(c, bound, tauS, 10, 60)
+        assert(got.resByK == base.resByK, s"seed=$seed")
+        got.resByK.values.flatten.map(_.level).max
+      }
+      assert(deepest.max >= 3, s"no Res[k] reaches level 3: $deepest")
+    }
+
+  test("τ_s = 1 with k_max = |D| matches brute force") {
+    for (seed <- 0 until 4) {
+      val rix = RandomData.index(seed + 300, n = 30, m = 4)
+      val bound = RandomData.stepBound(seed, rix.size)
+      val got = GlobalBounds.run(new LocalPatternCounter(rix), bound, 1, 1, rix.size)
+      assert(got.resByK == BruteForce.run(rix, bound, 1, 1, rix.size), s"seed=$seed")
+    }
+  }
+
+  test("a one-attribute schema matches brute force") {
+    for (seed <- 0 until 4; tauS <- Seq(1, 4)) {
+      val rix = RandomData.index(seed + 400, n = 20, m = 1)
+      val bound = RandomData.stepBound(seed, rix.size)
+      val got = GlobalBounds.run(new LocalPatternCounter(rix), bound, tauS, 1, rix.size)
+      assert(got.resByK == BruteForce.run(rix, bound, tauS, 1, rix.size), s"seed=$seed tauS=$tauS")
+    }
+  }
+
   test("Proposition 4.3 sanity: the new tuple affects at most half the tracked patterns") {
     // For every k, the tuple R(D)[k] satisfies at most half of any sibling
     // value-pair set; check the weaker observable: affected ≤ |B|.

@@ -12,6 +12,16 @@ class PatternSpec extends AnyFunSuite {
 
   private val doms = IndexedSeq(2, 2, 2, 3)
 
+  /** (most general, dominated) members of `ps`, fed to [[MostGeneral]] in
+    * level order (stable, so the input order within a level is kept).
+    */
+  private def mostGeneral(ps: Seq[Pattern], domainSizes: IndexedSeq[Int]): (Set[Pattern], Set[Pattern]) = {
+    val filter = new MostGeneral(domainSizes)
+    ps.sortBy(_.level).foreach(filter.add)
+    val min = filter.result.toSet
+    (min, ps.toSet -- min)
+  }
+
   test("root pattern has no attributes and maxIdx -1") {
     val r = Pattern.root(4)
     assert(r.isRoot && r.attrs.isEmpty && r.maxIdx == -1 && r.level == 0)
@@ -74,18 +84,24 @@ class PatternSpec extends AnyFunSuite {
     assert(par.forall(q => q.level == 2 && q.strictlySubsumes(p)))
   }
 
-  test("splitMostGeneral keeps minimal patterns and dominates the rest") {
+  test("MostGeneral keeps minimal patterns and dominates the rest") {
     val a = Pattern.of(4, 0 -> 0)
     val ab = Pattern.of(4, 0 -> 0, 1 -> 1)
     val c = Pattern.of(4, 2 -> 1)
-    val (min, dom) = Pattern.splitMostGeneral(Seq(ab, a, c))
+    val (min, dom) = mostGeneral(Seq(ab, a, c), doms)
     assert(min == Set(a, c) && dom == Set(ab))
   }
 
-  test("splitMostGeneral of an antichain keeps everything") {
+  test("MostGeneral of an antichain keeps everything") {
     val xs = Seq(Pattern.of(4, 0 -> 0), Pattern.of(4, 0 -> 1), Pattern.of(4, 1 -> 0))
-    val (min, dom) = Pattern.splitMostGeneral(xs)
+    val (min, dom) = mostGeneral(xs, doms)
     assert(min == xs.toSet && dom.isEmpty)
+  }
+
+  test("MostGeneral rejects a pattern of lower level than a member") {
+    val filter = new MostGeneral(doms)
+    assert(filter.add(Pattern.of(4, 0 -> 0, 1 -> 1)))
+    intercept[IllegalArgumentException](filter.add(Pattern.of(4, 2 -> 1)))
   }
 
   test("render uses attribute names and value labels") {
@@ -113,13 +129,35 @@ class PatternSpec extends AnyFunSuite {
     }
   }
 
-  test("property: splitMostGeneral partition covers the input") {
+  test("property: MostGeneral partition covers the input") {
     val gen = Gen.listOfN(8, Gen.listOfN(4, Gen.choose(-1, 1)).map(v => Pattern(v.toVector)))
     for (ps <- samples(gen, 100)) {
-      val (min, dom) = Pattern.splitMostGeneral(ps)
+      val (min, dom) = mostGeneral(ps, doms)
       assert((min ++ dom) == ps.toSet)
       assert(min.forall(p => !min.exists(_.strictlySubsumes(p))))
       assert(dom.forall(p => min.exists(_.strictlySubsumes(p))))
+    }
+  }
+
+  test("property: MostGeneral keeps exactly the patterns with no proper sub-pattern in the set") {
+    // Widths 6–10, levels 1–6 (plus the root in half the sets), small
+    // domains so that sub-patterns are common, duplicates, shuffled order.
+    val rnd = new scala.util.Random(42)
+    for (trial <- 0 until 300) {
+      val width = 6 + rnd.nextInt(5)
+      val domainSizes = IndexedSeq.fill(width)(1 + rnd.nextInt(3))
+      def draw(): Pattern = {
+        val attrs = rnd.shuffle((0 until width).toList).take(1 + rnd.nextInt(6))
+        Pattern.of(width, attrs.map(a => a -> rnd.nextInt(domainSizes(a))): _*)
+      }
+      val drawn = Seq.fill(5 + rnd.nextInt(60))(draw())
+      val dups = Seq.fill(rnd.nextInt(6))(drawn(rnd.nextInt(drawn.size)))
+      val set = drawn ++ dups ++ (if (trial % 2 == 0) Seq(Pattern.root(width)) else Nil)
+      val expected = set.filter(p => !set.exists(_.strictlySubsumes(p))).toSet
+      val filter = new MostGeneral(domainSizes)
+      rnd.shuffle(set).sortBy(_.level).foreach(filter.add)
+      assert(filter.result.toSet == expected, s"trial $trial")
+      assert(filter.result.distinct.size == filter.result.size, s"trial $trial")
     }
   }
 }

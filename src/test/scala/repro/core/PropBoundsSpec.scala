@@ -47,6 +47,27 @@ class PropBoundsSpec extends AnyFunSuite {
     assert(res.timedOut)
   }
 
+  test("the budget also bounds steps that explore nothing; the partial result is ITERTD's prefix") {
+    // τ_s = 4 and k ≥ 6: α = 3 puts the threshold above s_D and L_k = 100
+    // above |D|, so every level-1 pattern is biased at every k, none
+    // recovers, and no step after kMin runs a BFS wave. Each step sleeps
+    // in rankedRow, so the budget expires during those steps.
+    val slow = new PatternCounter {
+      def width: Int = counter.width
+      def domainSizes: IndexedSeq[Int] = counter.domainSizes
+      def datasetSize: Long = counter.datasetSize
+      def countBatch(ps: Seq[Pattern], k: Int): Map[Pattern, (Long, Long)] = counter.countBatch(ps, k)
+      def rankedRow(rank: Int): Array[Int] = { Thread.sleep(40); counter.rankedRow(rank) }
+    }
+    for (bound <- Seq(ProportionalLowerBound(3.0, 16), GlobalLowerBound(_ => 100.0))) {
+      val got = PropBounds.incremental(slow, bound, 4, 6, 16, Budget.ofMillis(200))
+      val base = IterTD.run(counter, bound, 4, 6, 16)
+      assert(got.timedOut, s"$bound")
+      assert(got.resByK.keys.toSeq == (6 until 6 + got.resByK.size) && got.resByK.size < 11, s"$bound")
+      assert(got.resByK == base.resByK.take(got.resByK.size), s"$bound")
+    }
+  }
+
   test("examined is below ITERTD's over a long range") {
     val alpha = 0.8
     val base = IterTD.run(counter, ProportionalLowerBound(alpha, 16), tauS = 4, kMin = 2, kMax = 16)
@@ -76,6 +97,37 @@ class PropBoundsSpec extends AnyFunSuite {
       val base = IterTD.run(c, ProportionalLowerBound(alpha, rix.size.toLong), 4, 2, 50)
       assert(got.resByK == base.resByK, s"seed=$seed alpha=$alpha")
     }
+
+  for (tauS <- Seq(2, 5))
+    test(s"equivalent to ITERTD on 300 rows × 8 attributes (τ_s = $tauS, seeds 0–3)") {
+      val deepest = (0 until 4).map { seed =>
+        val rix = RandomData.index(seed + 700, n = 300, m = 8)
+        val c = new LocalPatternCounter(rix)
+        val got  = PropBounds.run(c, 0.8, tauS, 10, 60)
+        val base = IterTD.run(c, ProportionalLowerBound(0.8, rix.size.toLong), tauS, 10, 60)
+        assert(got.resByK == base.resByK, s"seed=$seed")
+        got.resByK.values.flatten.map(_.level).max
+      }
+      assert(deepest.max >= 3, s"no Res[k] reaches level 3: $deepest")
+    }
+
+  test("τ_s = 1 with k_max = |D| matches brute force") {
+    for (seed <- 0 until 4; alpha <- Seq(0.8, 1.5)) {
+      val rix = RandomData.index(seed + 300, n = 30, m = 4)
+      val got = PropBounds.run(new LocalPatternCounter(rix), alpha, 1, 1, rix.size)
+      assert(got.resByK == BruteForce.run(rix, ProportionalLowerBound(alpha, rix.size.toLong), 1, 1, rix.size),
+        s"seed=$seed alpha=$alpha")
+    }
+  }
+
+  test("a one-attribute schema matches brute force") {
+    for (seed <- 0 until 4; tauS <- Seq(1, 4)) {
+      val rix = RandomData.index(seed + 400, n = 20, m = 1)
+      val got = PropBounds.run(new LocalPatternCounter(rix), 0.9, tauS, 1, rix.size)
+      assert(got.resByK == BruteForce.run(rix, ProportionalLowerBound(0.9, rix.size.toLong), tauS, 1, rix.size),
+        s"seed=$seed tauS=$tauS")
+    }
+  }
 
   test("status can oscillate: a pattern may leave and re-enter the result across k") {
     // Find a witness in random data: a pattern biased at some k, not at
